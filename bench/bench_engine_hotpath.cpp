@@ -46,16 +46,6 @@ using namespace nezha;
 
 namespace {
 
-// Pre-change baseline: the pre-burst-mode binary running this same e2e
-// scenario, measured interleaved with the post-change binary on the same
-// machine in the same session (wall-clock on this shared container drifts
-// ±15-20% between sessions, so only interleaved A/B ratios are trustworthy
-// — see the README re-baselining note).
-constexpr double kPreChangeE2ePktsPerSec = 879000;
-constexpr double kPreChangeAclLookupsPerSec = 813636;
-// Steady-state datapath baseline: the pre-zero-allocation binary on the
-// offloaded BE↔FE pump, same interleaved-A/B method.
-constexpr double kPreChangeSteadyPktsPerSec = 2.48e6;
 // Burst configuration for the e2e run (DESIGN.md §11): the largest windows
 // whose event-interleaving distortion stays within 0.02% of the exact-timing
 // run. (wnet=256µs cost −0.5% packets, wcpu=128µs −4% — quantization delay
@@ -741,27 +731,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(clos.delivered),
               benchutil::fmt_si(clos.pkts_per_wall_sec).c_str(),
               static_cast<unsigned long long>(clos.completed_conns));
-  std::printf("\n  Steady-phase datapath: %s pkts/sec "
-              "(pre-change %s → %.2fx)\n",
-              benchutil::fmt_si(alloc.steady_pkts_per_sec).c_str(),
-              benchutil::fmt_si(kPreChangeSteadyPktsPerSec).c_str(),
-              alloc.steady_pkts_per_sec / kPreChangeSteadyPktsPerSec);
-  std::printf("  Setup-phase e2e vs pre-burst baseline: %s pkts/sec "
-              "→ %.2fx\n",
-              benchutil::fmt_si(kPreChangeE2ePktsPerSec).c_str(),
-              e2e.pkts_per_wall_sec / kPreChangeE2ePktsPerSec);
-  benchutil::verdict(
-      alloc.steady_pkts_per_sec >= 1.5 * kPreChangeSteadyPktsPerSec,
-      "steady-state datapath >= 1.5x pre-change (2.5M pkts/s) baseline");
-  benchutil::verdict(
-      e2e.pkts_per_wall_sec >= 1.5 * kPreChangeE2ePktsPerSec,
-      "end-to-end throughput >= 1.5x the pre-burst (879K pkts/s) baseline");
-  std::printf("  note: the end-to-end scenario is connection-setup bound "
-              "(4 pkts/conn), so this\n"
-              "  row tracks the setup fast path (burst windows, timer rings, "
+  std::printf("\n  Steady-phase datapath: %s pkts/sec\n",
+              benchutil::fmt_si(alloc.steady_pkts_per_sec).c_str());
+  std::printf("  note: the setup-phase e2e run is connection-setup bound "
+              "(4 pkts/conn), so its\n"
+              "  rate tracks the setup fast path (burst windows, timer rings, "
               "setup cache);\n"
-              "  per-packet datapath gains land in the steady-phase number "
-              "(README: re-baselining).\n");
+              "  per-packet datapath gains land in the steady-phase number.\n");
   benchutil::verdict(lpm_speedup >= 1.0,
                      "LPM probe list >= the naive 33-length reference");
   benchutil::verdict(acl_speedup >= 5.0,
@@ -791,9 +767,7 @@ int main(int argc, char** argv) {
                "    \"allocs_per_packet\": %.4f,\n"
                "    \"steady_window_packets\": %llu,\n"
                "    \"steady_window_allocs\": %llu,\n"
-               "    \"steady_pkts_per_sec\": %.0f,\n"
-               "    \"pre_change_steady_pkts_per_sec\": %.0f,\n"
-               "    \"steady_speedup_vs_baseline\": %.3f\n"
+               "    \"steady_pkts_per_sec\": %.0f\n"
                "  },\n"
                "  \"end_to_end\": {\n"
                "    \"burst_config\": {\"rx_burst_window_us\": %d, "
@@ -806,9 +780,7 @@ int main(int argc, char** argv) {
                "      \"completed_connections\": %llu,\n"
                "      \"allocs_per_new_connection\": %.5f,\n"
                "      \"setup_window_connections\": %llu,\n"
-               "      \"setup_window_allocs\": %llu,\n"
-               "      \"pre_change_baseline_pkts_per_sec\": %.0f,\n"
-               "      \"speedup_vs_baseline\": %.3f\n"
+               "      \"setup_window_allocs\": %llu\n"
                "    },\n"
                "    \"steady_phase\": {\n"
                "      \"pkts_per_sec_wallclock\": %.0f,\n"
@@ -828,8 +800,7 @@ int main(int argc, char** argv) {
                alloc.allocs_per_packet,
                static_cast<unsigned long long>(alloc.window_packets),
                static_cast<unsigned long long>(alloc.window_allocs),
-               alloc.steady_pkts_per_sec, kPreChangeSteadyPktsPerSec,
-               alloc.steady_pkts_per_sec / kPreChangeSteadyPktsPerSec,
+               alloc.steady_pkts_per_sec,
                kE2eNetBurstUs, kE2eCpuBurstUs, kE2eTimerWindowUs,
                kE2eAgingPeriodMs, e2e.pkts_per_wall_sec,
                e2e.conns_per_wall_sec,
@@ -838,14 +809,11 @@ int main(int argc, char** argv) {
                e2e.setup_allocs_per_conn,
                static_cast<unsigned long long>(e2e.setup_window_conns),
                static_cast<unsigned long long>(e2e.setup_window_allocs),
-               kPreChangeE2ePktsPerSec,
-               e2e.pkts_per_wall_sec / kPreChangeE2ePktsPerSec,
                alloc.steady_pkts_per_sec, alloc.allocs_per_packet,
                clos.num_vswitches, clos.pkts_per_wall_sec,
                static_cast<unsigned long long>(clos.delivered),
                static_cast<unsigned long long>(clos.completed_conns));
   std::fclose(json);
   std::printf("\n  Wrote BENCH_engine.json\n");
-  (void)kPreChangeAclLookupsPerSec;
   return gates_ok ? 0 : 1;
 }

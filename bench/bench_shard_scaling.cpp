@@ -25,10 +25,10 @@
 //     fast-forward jumps). The event counts must be identical at every
 //     thread count — a gate; the wall-clock fields are report-only and
 //     excluded from every determinism comparison.
-// An ablation block at threads=1 toggles {fences, fast_forward}: the
-// fast-forward-off run must reproduce the fast-forward-on fingerprint
-// bit-for-bit (gate); the fences-off rows run the legacy single-threaded
-// control-plane semantics and are reported for wall-clock context only.
+// Barrier wait is per worker (charged to its first shard), so the summed
+// column is the total wait of all workers. An ablation row at threads=1
+// turns fast_forward off: it must reproduce the fast-forward-on
+// fingerprint bit-for-bit (gate).
 //
 // Output: stdout tables + BENCH_shard.json (schema nezha-bench-shard-v3,
 // README.md) in the CWD, diffable with tools/nezha_report (wall-clock
@@ -47,7 +47,6 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -73,7 +72,6 @@ struct RunOpts {
   int window_ms = 1000;
   std::uint64_t seed = 7;
   bool churn = true;
-  bool fences = true;
   bool fast_forward = true;
 };
 
@@ -110,12 +108,10 @@ struct RunResult {
   std::string report;
 };
 
-/// One full scenario run, threaded end-to-end when o.fences (deploy,
-/// offload, churn and the timed traffic window all execute under o.threads
-/// workers; the fence protocol keeps the outcome thread-count invariant).
-/// With o.fences == false the run is pinned to 1 worker — the legacy
-/// control-plane rule this bench's protocol removed — and serves as the
-/// ablation baseline. shards == 1 builds the engine-less reference bed.
+/// One full scenario run, threaded end-to-end (deploy, offload, churn and
+/// the timed traffic window all execute under o.threads workers; the fence
+/// protocol keeps the outcome thread-count invariant). shards == 1 builds
+/// the engine-less reference bed.
 RunResult run_one(const RunOpts& o) {
   core::TestbedConfig cfg = core::make_clos_testbed_config(o.vswitches);
   cfg.controller.auto_offload = false;
@@ -124,8 +120,7 @@ RunResult run_one(const RunOpts& o) {
   cfg.monitor.probe_timeout = common::milliseconds(50);
   cfg.monitor.miss_threshold = 2;
   cfg.shards = o.shards;
-  cfg.threads = o.fences ? o.threads : 1;
-  cfg.shard_fences = o.fences;
+  cfg.threads = o.threads;
   cfg.shard_fast_forward = o.fast_forward;
   core::Testbed bed(cfg);
 
@@ -280,7 +275,7 @@ int main(int argc, char** argv) {
   }
 
   // Reference: the classic engine-less testbed (what every run before the
-  // sharded engine measured), same churn script via plain loop events.
+  // sharded engine measured), same churn script on the single loop.
   std::printf("\n  [unsharded reference]\n");
   RunOpts oref = base;
   oref.shards = 1;
@@ -338,35 +333,18 @@ int main(int argc, char** argv) {
   ptab.print();
 
   // Ablation at threads=1: fast-forward off must reproduce the sweep
-  // fingerprint; fences off (legacy single-threaded control plane) is
-  // wall-clock context only — its event interleaving differs by design.
-  std::printf("\n  [ablation, threads=1]\n");
-  struct Ablation {
-    bool fences;
-    bool fast_forward;
-    RunResult r;
-  };
-  std::vector<Ablation> ablation;
-  for (const auto& [fen, ff] : std::vector<std::pair<bool, bool>>{
-           {true, false}, {false, true}, {false, false}}) {
-    RunOpts o = base;
-    o.threads = 1;
-    o.fences = fen;
-    o.fast_forward = ff;
-    std::printf("    fences=%d fast_forward=%d running...\n", fen ? 1 : 0,
-                ff ? 1 : 0);
-    std::fflush(stdout);
-    ablation.push_back(Ablation{fen, ff, run_one(o)});
-  }
+  // fingerprint.
+  std::printf("\n  [ablation, threads=1]\n  fast_forward=0 running...\n");
+  std::fflush(stdout);
+  RunOpts oab = base;
+  oab.threads = 1;
+  oab.fast_forward = false;
+  const RunResult ab = run_one(oab);
   benchutil::Table atab(
-      {"fences", "fast-fwd", "wall (s)", "epochs", "skipped", "sections"});
-  for (const Ablation& a : ablation) {
-    atab.add_row({a.fences ? "on" : "off", a.fast_forward ? "on" : "off",
-                  benchutil::fmt(a.r.wall_sec, 2),
-                  std::to_string(a.r.epochs),
-                  std::to_string(a.r.epochs_skipped),
-                  std::to_string(a.r.fenced_sections)});
-  }
+      {"fast-fwd", "wall (s)", "epochs", "skipped", "sections"});
+  atab.add_row({"off", benchutil::fmt(ab.wall_sec, 2),
+                std::to_string(ab.epochs), std::to_string(ab.epochs_skipped),
+                std::to_string(ab.fenced_sections)});
   atab.print();
 
   bool deterministic = true;
@@ -390,8 +368,7 @@ int main(int argc, char** argv) {
   const bool protocol_live =
       results[0].epochs_skipped > 0 && results[0].fenced_sections > 0;
   const bool ff_invariant =
-      ablation[0].r.fingerprint == results[0].fingerprint &&
-      ablation[0].r.epochs_skipped == 0;
+      ab.fingerprint == results[0].fingerprint && ab.epochs_skipped == 0;
   bool churned = ref.failovers > 0;
   for (const RunResult& r : results) {
     churned = churned && r.failovers == results[0].failovers &&
@@ -465,7 +442,7 @@ int main(int argc, char** argv) {
                "  \"schema\": \"nezha-bench-shard-v3\",\n"
                "  \"config\": {\"num_vswitches\": %zu, \"shards\": %zu, "
                "\"pairs\": %zu, \"window_ms\": %d, \"seed\": %llu, "
-               "\"hardware_concurrency\": %u, \"quiesce_fences\": 1, "
+               "\"hardware_concurrency\": %u, "
                "\"fast_forward\": 1, \"churn\": 1},\n"
                "  \"unsharded_reference\": {\"wall_seconds\": %.3f, "
                "\"pkts_per_wall_sec\": %.0f, \"delivered_packets\": %llu, "
@@ -509,22 +486,16 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.fence_wall_ns),
         i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(json, "  ],\n  \"ablation\": [\n");
-  for (std::size_t i = 0; i < ablation.size(); ++i) {
-    const Ablation& a = ablation[i];
-    std::fprintf(
-        json,
-        "    {\"fences\": %d, \"fast_forward\": %d, \"threads\": 1, "
-        "\"wall_seconds\": %.3f, \"fingerprint_hex\": \"%016llx\", "
-        "\"epochs\": %llu, \"epochs_skipped\": %llu, "
-        "\"fenced_sections\": %llu}%s\n",
-        a.fences ? 1 : 0, a.fast_forward ? 1 : 0, a.r.wall_sec,
-        static_cast<unsigned long long>(a.r.fingerprint),
-        static_cast<unsigned long long>(a.r.epochs),
-        static_cast<unsigned long long>(a.r.epochs_skipped),
-        static_cast<unsigned long long>(a.r.fenced_sections),
-        i + 1 < ablation.size() ? "," : "");
-  }
+  std::fprintf(json,
+               "  ],\n  \"ablation\": [\n"
+               "    {\"fast_forward\": 0, \"threads\": 1, "
+               "\"wall_seconds\": %.3f, \"fingerprint_hex\": \"%016llx\", "
+               "\"epochs\": %llu, \"epochs_skipped\": %llu, "
+               "\"fenced_sections\": %llu}\n",
+               ab.wall_sec, static_cast<unsigned long long>(ab.fingerprint),
+               static_cast<unsigned long long>(ab.epochs),
+               static_cast<unsigned long long>(ab.epochs_skipped),
+               static_cast<unsigned long long>(ab.fenced_sections));
   std::fprintf(json,
                "  ],\n"
                "  \"determinism\": {\"fingerprints_equal_across_threads\": "

@@ -11,9 +11,9 @@ namespace nezha::core {
 
 Controller::Controller(sim::EventLoop& loop, sim::Network& network,
                        tables::VnicServerMap& gateway,
-                       ControllerConfig config)
-    : loop_(loop), network_(network), gateway_(gateway), config_(config),
-      rng_(config.seed),
+                       sim::FenceScheduler& fences, ControllerConfig config)
+    : loop_(loop), network_(network), gateway_(gateway), fences_(fences),
+      config_(config), rng_(config.seed),
       policy_(&policy::policy_for(config.fe_policy)) {}
 
 void Controller::add_vswitch(vswitch::VSwitch* vs) {
@@ -46,17 +46,8 @@ void Controller::record_ctrl(telemetry::EventKind kind, std::uint32_t node,
   telemetry_->record(e);
 }
 
-void Controller::schedule_ctrl(common::TimePoint at,
-                               std::function<void()> fn) {
-  if (fences_ != nullptr) {
-    fences_->schedule_fenced(at, std::move(fn));
-  } else {
-    loop_.schedule_at(at, std::move(fn));
-  }
-}
-
 void Controller::schedule_monitor_tick(common::TimePoint at) {
-  fences_->schedule_fenced(at, [this, at]() {
+  fences_.schedule_fenced(at, [this, at]() {
     monitor_tick();
     schedule_monitor_tick(at + config_.monitor_period);
   });
@@ -207,8 +198,8 @@ void Controller::evict_frontend(tables::VnicId id, sim::NodeId node) {
   vswitch::VSwitch* home = rec.home;
   const common::TimePoint apply_at = loop_.now() + sample_config_latency();
   // The apply touches the home vSwitch (possibly another shard's) and the
-  // gateway senders read fleet-wide → fenced under a threaded engine.
-  schedule_ctrl(apply_at, [this, home, id]() {
+  // gateway senders read fleet-wide → a fenced section.
+  fences_.schedule_fenced(apply_at, [this, home, id]() {
     auto rit = vnics_.find(id);
     if (rit == vnics_.end()) return;
     std::vector<tables::Location> locations;
@@ -304,9 +295,9 @@ common::Status Controller::trigger_offload(tables::VnicId id,
   });
 
   // (3) Gateway update, then the learning interval bounds sender staleness.
-  // Senders on every shard read the gateway → fenced under threads.
+  // Senders on every shard read the gateway → a fenced section.
   const common::TimePoint gw_done = be_ready + sample_config_latency();
-  schedule_ctrl(gw_done, [this, id]() {
+  fences_.schedule_fenced(gw_done, [this, id]() {
     auto rit = vnics_.find(id);
     if (rit != vnics_.end()) publish_placement(rit->second);
   });
@@ -365,7 +356,7 @@ common::Status Controller::trigger_fallback(tables::VnicId id) {
     (void)home->begin_fallback(id, dual_until);
   });
   const common::TimePoint gw_done = local_ready + sample_config_latency();
-  schedule_ctrl(gw_done, [this, id]() {
+  fences_.schedule_fenced(gw_done, [this, id]() {
     auto rit = vnics_.find(id);
     if (rit == vnics_.end()) return;
     rit->second.offloaded = false;  // placement reverts to the BE
@@ -452,7 +443,7 @@ common::Status Controller::scale_out(
   // gateway's vNIC-server table (§4.3).
   const common::TimePoint apply_at = fe_ready + sample_config_latency();
   vswitch::VSwitch* home = rec.home;
-  schedule_ctrl(apply_at, [this, home, id]() {
+  fences_.schedule_fenced(apply_at, [this, home, id]() {
     auto rit = vnics_.find(id);
     if (rit == vnics_.end()) return;
     std::vector<tables::Location> locations;
@@ -487,7 +478,7 @@ void Controller::scale_in_vswitch(sim::NodeId node) {
     vswitch::VSwitch* home = rec.home;
     const tables::VnicId vnic_id = id;
     const common::TimePoint apply_at = loop_.now() + sample_config_latency();
-    schedule_ctrl(apply_at, [this, home, vnic_id]() {
+    fences_.schedule_fenced(apply_at, [this, home, vnic_id]() {
       auto rit = vnics_.find(vnic_id);
       if (rit == vnics_.end()) return;
       std::vector<tables::Location> locations;
@@ -704,16 +695,14 @@ bool Controller::transition_pending(tables::VnicId id) const {
 void Controller::start() {
   if (started_) return;
   started_ = true;
-  if (fences_ != nullptr) {
-    // Monitoring reads every shard's vSwitch CPU and can launch any
-    // workflow → the tick itself is a fenced section, self-rescheduling at
-    // nominal multiples of the period (the barrier quantizes actual
-    // execution to epoch boundaries, identically for every thread count).
-    schedule_monitor_tick(loop_.now() + config_.monitor_period);
-  } else {
-    loop_.schedule_periodic(config_.monitor_period,
-                            [this]() { monitor_tick(); });
-  }
+  // A zero period would re-run a due tick inline forever.
+  if (config_.monitor_period < 1) config_.monitor_period = 1;
+  // Monitoring reads every shard's vSwitch CPU and can launch any
+  // workflow → the tick itself is a fenced section, self-rescheduling at
+  // nominal multiples of the period (a sharded bed's barrier quantizes
+  // actual execution to epoch boundaries, identically for every thread
+  // count).
+  schedule_monitor_tick(loop_.now() + config_.monitor_period);
 }
 
 void Controller::monitor_tick() {

@@ -73,8 +73,14 @@ struct ControllerConfig {
 
 class Controller {
  public:
+  /// Every continuation that touches cross-shard state — monitor ticks,
+  /// gateway publishes, fleet-wide config applies — goes through `fences`
+  /// (DESIGN.md §15): at an epoch barrier on a sharded bed, as a loop
+  /// event (or inline when already due) on a single loop. Continuations
+  /// that only mutate the controller's own records stay on `loop`.
   Controller(sim::EventLoop& loop, sim::Network& network,
-             tables::VnicServerMap& gateway, ControllerConfig config = {});
+             tables::VnicServerMap& gateway, sim::FenceScheduler& fences,
+             ControllerConfig config = {});
 
   const ControllerConfig& config() const { return config_; }
 
@@ -163,15 +169,6 @@ class Controller {
   /// scale-out/-in, failover).
   void set_telemetry(telemetry::Hub* hub) { telemetry_ = hub; }
 
-  /// Threaded control plane (DESIGN.md §15): when set, every controller
-  /// continuation that touches cross-shard state — monitor ticks, gateway
-  /// publishes, fleet-wide config applies — runs as a fenced section at an
-  /// epoch barrier instead of as a plain shard-0 loop event, so the whole
-  /// lifecycle (offload, churn, failover) is safe while the engine is
-  /// multi-threaded. Null (the default) keeps the legacy single-loop
-  /// behavior bit-identical.
-  void set_fence_scheduler(sim::FenceScheduler* fences) { fences_ = fences; }
-
   /// Monitoring hook for experiments: called after each monitor tick with
   /// (node, cpu utilization) samples.
   using UtilizationHook =
@@ -201,12 +198,6 @@ class Controller {
   void record_ctrl(telemetry::EventKind kind, std::uint32_t node,
                    std::uint64_t a, std::uint64_t b = 0);
 
-  /// Schedules a control continuation that may touch cross-shard state
-  /// (gateway, other shards' vSwitch config, the whole fleet): a fenced
-  /// section when a scheduler is installed, a shard-0 loop event otherwise.
-  /// Continuations that only mutate the controller's own records stay on
-  /// loop_ unconditionally — they always execute on the controller's shard.
-  void schedule_ctrl(common::TimePoint at, std::function<void()> fn);
   /// Self-rescheduling fenced monitor tick at nominal `at + k*period`
   /// (periodic loop events cannot cross the quiesce protocol).
   void schedule_monitor_tick(common::TimePoint at);
@@ -237,6 +228,7 @@ class Controller {
   sim::EventLoop& loop_;
   sim::Network& network_;
   tables::VnicServerMap& gateway_;
+  sim::FenceScheduler& fences_;
   ControllerConfig config_;
   common::Rng rng_;
 
@@ -258,7 +250,6 @@ class Controller {
   common::Percentiles offload_completion_;
   UtilizationHook utilization_hook_;
   telemetry::Hub* telemetry_ = nullptr;
-  sim::FenceScheduler* fences_ = nullptr;
   bool started_ = false;
 };
 

@@ -171,6 +171,15 @@ void ShardedEngine::advance_shard(std::uint32_t s, common::TimePoint end) {
   busy_ns_[s] += ns_between(t0, std::chrono::steady_clock::now());
 }
 
+void LoopFenceScheduler::schedule_fenced(common::TimePoint due,
+                                         std::function<void()> fn) {
+  if (due <= loop_.now()) {
+    fn();
+  } else {
+    loop_.schedule_at(due, std::move(fn));
+  }
+}
+
 void ShardedEngine::schedule_fenced(common::TimePoint due,
                                     std::function<void()> fn) {
   if (tls_engine == static_cast<const void*>(this)) {
@@ -351,14 +360,13 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
       const auto t3 = std::chrono::steady_clock::now();
       const std::uint64_t wait_ns =
           ns_between(t0, t1) + ns_between(t2, t3);
-      for (std::uint32_t s = w; s < k; s += w_count) {
-        BarrierWaitStats& ws = wait_[s];
-        ++ws.epochs;
-        ws.total_ns += wait_ns;
-        if (wait_ns > ws.max_ns) ws.max_ns = wait_ns;
-        if (wait_observers_[s]) {
-          wait_observers_[s](static_cast<double>(wait_ns) * 1e-3);
-        }
+      for (std::uint32_t s = w; s < k; s += w_count) ++wait_[s].epochs;
+      // The worker waited once, whatever its shard count: charge shard w.
+      BarrierWaitStats& ws = wait_[w];
+      ws.total_ns += wait_ns;
+      if (wait_ns > ws.max_ns) ws.max_ns = wait_ns;
+      if (wait_observers_[w]) {
+        wait_observers_[w](static_cast<double>(wait_ns) * 1e-3);
       }
       if (w == 0) ++epochs_run_;
       e = end;

@@ -147,6 +147,19 @@ class FenceScheduler {
                                std::function<void()> fn) = 0;
 };
 
+/// The FenceScheduler of an unsharded bed. With a single loop every moment
+/// between events is quiescent, so a section already due (due <= now,
+/// including the due-0 crash and link-failure callbacks) runs inline, and
+/// any later one becomes a plain loop event at `due`.
+class LoopFenceScheduler final : public FenceScheduler {
+ public:
+  explicit LoopFenceScheduler(EventLoop& loop) : loop_(loop) {}
+  void schedule_fenced(common::TimePoint due, std::function<void()> fn) override;
+
+ private:
+  EventLoop& loop_;
+};
+
 /// The Network's view of the engine: resolve an underlay IP that is not
 /// local to this shard, and hand off a token to the owning shard.
 class ShardRouter {
@@ -261,18 +274,22 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
   /// signature of a stuck fence.
   std::uint64_t fences_queued() const { return fences_.size(); }
 
-  /// Wall-clock a shard's worker spent parked at epoch barriers while
-  /// driving this shard — the imbalance signal complementing busy_ns.
+  /// Wall-clock parked at epoch barriers — the imbalance signal
+  /// complementing busy_ns. A worker waits once per epoch however many
+  /// shards it drives, so total_ns / max_ns are recorded only on the
+  /// worker's first shard (shard w for worker w): summing over shards
+  /// gives the summed wait of all workers. `epochs` counts on every shard.
   struct BarrierWaitStats {
     std::uint64_t epochs = 0;    // barrier crossings measured
-    std::uint64_t total_ns = 0;  // summed wait
+    std::uint64_t total_ns = 0;  // summed wait (first shard of a worker)
     std::uint64_t max_ns = 0;    // worst single wait
   };
   const BarrierWaitStats& barrier_wait_stats(std::uint32_t shard) const {
     return wait_.at(shard);
   }
   /// Called by shard `shard`'s owning worker with each epoch's barrier
-  /// wait in microseconds — feeds the per-shard metrics histogram. The
+  /// wait in microseconds — feeds the per-shard metrics histogram. Like
+  /// total_ns, only a worker's first shard observes its wait. The
   /// callback runs on that worker's thread; it must only touch state owned
   /// by that shard (per-shard registries satisfy this).
   void set_barrier_wait_observer(std::uint32_t shard,
@@ -289,7 +306,7 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
     std::uint64_t epochs = 0;           // barrier crossings measured
     std::uint64_t snapshot_ns = 0;      // snapshot_inbound phases
     std::uint64_t advance_ns = 0;       // advance phases (== shard_busy_ns)
-    std::uint64_t barrier_wait_ns = 0;  // parked at epoch barriers
+    std::uint64_t barrier_wait_ns = 0;  // parked (worker's first shard)
     std::uint64_t fast_forward_ns = 0;  // clock teleports in jump phases
   };
   PhaseProfile phase_profile(std::uint32_t shard) const;

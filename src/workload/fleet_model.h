@@ -117,8 +117,8 @@ class FleetScenario {
   std::size_t offload_all(std::size_t holdback = 0);
 
   /// Full-churn script for threaded end-to-end runs, fired through
-  /// Testbed::schedule_control (fenced sections on a threaded bed, plain
-  /// loop events otherwise). Relative to now:
+  /// Testbed::schedule_control (fenced sections at every shard count).
+  /// Relative to now:
   ///  * offload_at — offload every still-local server vNIC (the holdback);
   ///  * crash_at   — crash the lowest-numbered FE of the first server's
   ///    pool on every shard's network, with the health monitor watching

@@ -13,11 +13,14 @@
 //  * N-shard runs reproduce bit-for-bit across repeated runs;
 //  * N-shard runs are identical at 1 and 2 worker threads;
 //  * the invariant harness (including the cross-shard identity) stays
-//    green throughout a threaded run.
+//    green throughout a threaded run;
+//  * control goes through one FenceScheduler at every shard count, and a
+//    worker's barrier wait is counted once, not once per owned shard.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/core/invariants.h"
 #include "src/core/testbed.h"
@@ -45,7 +48,7 @@ struct ShardRun {
 /// Clos fleet scenario with every server vNIC offloaded, driven in slices
 /// with quiescent invariant checks between them. `shards == 1` builds the
 /// classic engine-less testbed; `threads` only applies to the traffic
-/// phase (control-plane workflows run at 1 thread, per the Testbed rules).
+/// phase (the offload workflows run at 1 thread).
 ShardRun run_sharded(std::size_t shards, int threads, std::uint64_t seed) {
   // 4-host racks: the min-4-FE pools cannot fit beside their BE in one
   // rack, so offload traffic is forced across leaves — and across shards.
@@ -272,39 +275,105 @@ TEST(ShardDeterminism, FastForwardDoesNotChangeOutcome) {
   EXPECT_EQ(off.violations, 0u) << off.report;
 }
 
+// Pins the single-loop churn run: no engine, so the controller, the crash
+// callback and the churn script all go through LoopFenceScheduler. No other
+// test pins FleetScenario::schedule_churn on a single loop.
+constexpr std::uint64_t kUnshardedChurnFingerprint = 0x3d692863eb204743ULL;
+
+TEST(ShardDeterminism, UnshardedChurnMatchesPinnedFingerprint) {
+  const ChurnRun r = run_churn(1, 1, 7);
+  EXPECT_EQ(r.fingerprint, kUnshardedChurnFingerprint);
+  EXPECT_GT(r.failovers, 0u) << "the churn's FE crash never failed over";
+  EXPECT_NE(r.crashed_fe, 0u);
+  EXPECT_GT(r.completed, 100u);
+  EXPECT_EQ(r.violations, 0u) << r.report;
+}
+
+// Fences are the one control-plane path at every shard count: on a
+// sharded bed they run at epoch barriers, on the single loop a due section
+// runs inline and a later one as a loop event — same (due, seq) order.
 TEST(ShardDeterminism, FencesExecuteInDueThenSeqOrderAndStuckOnesKeep) {
-  core::TestbedConfig cfg = core::make_clos_testbed_config(
-      8, /*hosts_per_leaf=*/4, /*num_spines=*/2, /*oversubscription=*/2.0);
-  cfg.shards = 2;
-  cfg.threads = 2;
-  core::Testbed bed(cfg);
-  ASSERT_NE(bed.engine(), nullptr);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    core::TestbedConfig cfg = core::make_clos_testbed_config(
+        8, /*hosts_per_leaf=*/4, /*num_spines=*/2, /*oversubscription=*/2.0);
+    cfg.shards = shards;
+    cfg.threads = 2;
+    core::Testbed bed(cfg);
+    ASSERT_EQ(bed.shard_count(), shards);
 
-  const common::TimePoint t0 = bed.loop().now();
-  std::vector<int> order;
-  // Registered out of due order; 0 means "next barrier" (earliest).
-  bed.engine()->schedule_fenced(t0 + common::milliseconds(2),
-                                [&order]() { order.push_back(0); });
-  bed.engine()->schedule_fenced(t0 + common::milliseconds(1),
-                                [&order]() { order.push_back(1); });
-  bed.engine()->schedule_fenced(t0 + common::milliseconds(1),
-                                [&order]() { order.push_back(2); });
-  bed.engine()->schedule_fenced(0, [&order]() { order.push_back(3); });
-  // Due beyond this window: must NOT run now, must survive to the next.
-  bed.engine()->schedule_fenced(t0 + common::milliseconds(10),
-                                [&order]() { order.push_back(4); });
+    const common::TimePoint t0 = bed.loop().now();
+    std::vector<int> order;
+    // Registered out of due order; 0 means "next barrier" (earliest).
+    bed.schedule_control(t0 + common::milliseconds(2),
+                         [&order]() { order.push_back(0); });
+    bed.schedule_control(t0 + common::milliseconds(1),
+                         [&order]() { order.push_back(1); });
+    bed.schedule_control(t0 + common::milliseconds(1),
+                         [&order]() { order.push_back(2); });
+    bed.schedule_control(0, [&order]() { order.push_back(3); });
+    // Due beyond this window: must NOT run now, must survive to the next.
+    bed.schedule_control(t0 + common::milliseconds(10),
+                         [&order]() { order.push_back(4); });
 
-  bed.run_for(common::milliseconds(5));
-  EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 0}))
-      << "fences must run in (due, registration) order";
-  EXPECT_EQ(bed.engine()->fences_queued(), 1u)
-      << "the not-yet-due fence should remain queued (the 'stuck fence' "
-         "signature nezha_trace audit reports)";
-  bed.run_for(common::milliseconds(10));
-  EXPECT_EQ(order.size(), 5u);
-  EXPECT_EQ(order.back(), 4);
-  EXPECT_EQ(bed.engine()->fences_queued(), 0u);
-  EXPECT_EQ(bed.engine()->fenced_sections_run(), 5u);
+    bed.run_for(common::milliseconds(5));
+    EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 0}))
+        << "fences must run in (due, registration) order";
+    if (bed.engine() != nullptr) {
+      EXPECT_EQ(bed.engine()->fences_queued(), 1u)
+          << "the not-yet-due fence should remain queued (the 'stuck "
+             "fence' signature nezha_trace audit reports)";
+    }
+    bed.run_for(common::milliseconds(10));
+    EXPECT_EQ(order.size(), 5u);
+    EXPECT_EQ(order.back(), 4);
+    if (bed.engine() != nullptr) {
+      EXPECT_EQ(bed.engine()->fences_queued(), 0u);
+      EXPECT_EQ(bed.engine()->fenced_sections_run(), 5u);
+    }
+  }
+}
+
+// A worker parks at the epoch barrier once per epoch however many shards
+// it drives, so its wait (and the wait observer) belongs to its first
+// shard only; the barrier-crossing count stays per shard.
+TEST(ShardDeterminism, BarrierWaitIsCountedOncePerWorker) {
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::TestbedConfig cfg = core::make_clos_testbed_config(
+        kVSwitches, /*hosts_per_leaf=*/4, /*num_spines=*/4,
+        /*oversubscription=*/2.0);
+    cfg.shards = 8;
+    cfg.threads = threads;
+    cfg.shard_fast_forward = false;  // an idle bed would skip every epoch
+    core::Testbed bed(cfg);
+    ASSERT_NE(bed.engine(), nullptr);
+    ASSERT_EQ(bed.shard_count(), 8u);
+    std::vector<std::uint64_t> observed(8, 0);
+    for (std::uint32_t s = 0; s < 8; ++s) {
+      bed.engine()->set_barrier_wait_observer(
+          s, [&observed, s](double) { ++observed[s]; });
+    }
+
+    bed.run_for(common::milliseconds(2));
+    const std::uint64_t epochs = bed.engine()->epochs_run();
+    ASSERT_GT(epochs, 0u);
+    for (std::uint32_t s = 0; s < 8; ++s) {
+      SCOPED_TRACE("shard=" + std::to_string(s));
+      const auto& w = bed.engine()->barrier_wait_stats(s);
+      EXPECT_EQ(w.epochs, epochs) << "epochs are counted on every shard";
+      EXPECT_EQ(bed.engine()->phase_profile(s).epochs, epochs);
+      if (s < static_cast<std::uint32_t>(threads)) {
+        EXPECT_GT(w.total_ns, 0u);
+        EXPECT_EQ(observed[s], epochs);
+      } else {
+        EXPECT_EQ(w.total_ns, 0u) << "wait charged to a non-first shard";
+        EXPECT_EQ(w.max_ns, 0u);
+        EXPECT_EQ(bed.engine()->phase_profile(s).barrier_wait_ns, 0u);
+        EXPECT_EQ(observed[s], 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -198,13 +198,13 @@ bool contains_any(const std::string& s, const std::vector<const char*>& subs) {
 }
 
 Direction classify(const std::string& path) {
-  // Config echoes, pinned baselines and wall-clock profile attribution are
-  // never judged: they describe the run, they aren't results of it. The
+  // Config echoes and wall-clock profile attribution are never judged:
+  // they describe the run, they aren't results of it. The
   // *_wall_ns profiler fields in particular exist to record where
   // wall-clock goes — gating them would turn runner noise into failures.
-  if (contains_any(path, {"pre_change", "burst_config", "schema",
-                          "num_vswitches", "window_", "_window", "wall_ns",
-                          "profile.", "slo."}))
+  if (contains_any(path, {"burst_config", "schema", "num_vswitches",
+                          "window_", "_window", "wall_ns", "profile.",
+                          "slo."}))
     return Direction::kInformational;
   if (contains_any(path, {"per_sec", "_pps", "speedup", "sweeps",
                           "throughput", "probe_delivered"}))
