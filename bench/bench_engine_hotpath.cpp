@@ -699,7 +699,7 @@ int main(int argc, char** argv) {
   benchutil::verdict(setup_allocs_ok,
                      "setup phase <= 0.02 heap allocations per connection");
   const bool gates_ok = fingerprint_ok && allocs_ok && setup_allocs_ok;
-  if (smoke) return gates_ok ? 0 : 1;
+  if (smoke) return benchutil::exit_code(gates_ok);
 
   const AclResult acl = bench_acl(/*n_rules=*/1000, /*n_lookups=*/100000);
   const LpmResult lpm = bench_lpm(/*n_prefixes=*/20000, /*n_lookups=*/500000);
@@ -815,5 +815,5 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(clos.completed_conns));
   std::fclose(json);
   std::printf("\n  Wrote BENCH_engine.json\n");
-  return gates_ok ? 0 : 1;
+  return benchutil::exit_code(gates_ok);
 }

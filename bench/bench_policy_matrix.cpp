@@ -465,5 +465,5 @@ int main(int argc, char** argv) {
     std::printf("\n  wrote BENCH_policy.json\n");
   }
 
-  return (la_beats_p99 || pa_beats_loss) ? 0 : 1;
+  return benchutil::exit_code(la_beats_p99 || pa_beats_loss);
 }

@@ -515,5 +515,5 @@ int main(int argc, char** argv) {
       deterministic && conserved && churned && protocol_live &&
       ff_invariant && profile_inv && last.ideal_speedup >= 4.0 &&
       (hw < 8 || (best_vs_1thread >= 3.0 && best_vs_unsharded >= 4.0));
-  return gates_ok ? 0 : 1;
+  return benchutil::exit_code(gates_ok);
 }

@@ -153,5 +153,5 @@ int main(int argc, char** argv) {
   std::printf("\n  artifacts: %s (time series), %s (%zu trace events)\n",
               json_path.c_str(), trace_path.c_str(), on.events.size());
 
-  return (identical && complete && have_data) ? 0 : 1;
+  return benchutil::exit_code(identical && complete && have_data);
 }

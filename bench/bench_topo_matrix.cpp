@@ -338,5 +338,5 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("\n  wrote BENCH_topo.json\n");
   }
-  return 0;
+  return benchutil::exit_code();
 }

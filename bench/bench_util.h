@@ -31,8 +31,13 @@ std::string fmt(double v, int precision = 2);
 std::string fmt_si(double v, int precision = 2);  // 1.3M, 42.0K, ...
 std::string fmt_pct(double fraction, int precision = 1);
 
-/// Prints "  [SHAPE OK] <claim>" or "  [CHECK] <claim>" based on ok.
+/// Prints "  [SHAPE OK] <claim>" or "  [CHECK] <claim>" based on ok; a
+/// CHECK is remembered for exit_code().
 void verdict(bool ok, const std::string& claim);
+
+/// A bench main's exit status: 1 if any verdict() printed CHECK or
+/// `gates_ok` (the bench's own gates) is false, else 0.
+int exit_code(bool gates_ok = true);
 
 /// True when `flag` (e.g. "--clos") appears among the program arguments.
 /// The per-figure benches use this to switch the testbed from the default

@@ -1,6 +1,7 @@
 #include "src/flow/session_table.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "src/net/five_tuple.h"
@@ -101,22 +102,22 @@ void SessionTable::index_insert(std::uint64_t h, std::uint32_t slot) {
   }
 }
 
-void SessionTable::index_erase(const SessionKey& key, std::uint64_t h) {
-  const auto tag = static_cast<std::uint32_t>(h);
+void SessionTable::index_erase(std::uint32_t slot, std::uint64_t h) {
+  // The caller already holds the slot, so the cell is found by slot alone:
+  // no tag or key compare, and the key chunk is never loaded.
   std::size_t i = h & index_mask_;
-  for (;; i = (i + 1) & index_mask_) {
-    const Cell& cell = index_[i];
-    if (cell.slot == kEmpty) return;  // not present
-    if (cell.hash_tag == tag && key_at(cell.slot) == key) break;
+  for (; index_[i].slot != slot; i = (i + 1) & index_mask_) {
+    if (index_[i].slot == kEmpty) return;  // not present
   }
   // Backward-shift deletion: walk the cluster after the hole and pull back
   // every cell whose home position lies at or before the hole. Leaves no
   // tombstones, so churn never degrades probes or forces a rebuild. The
-  // home slot needs the full hash, which lives in the (still-live) node.
+  // home position comes from the cell's own tag (rebuild_index keeps the
+  // mask within 32 bits), so the walk never reads the slab.
   for (std::size_t j = (i + 1) & index_mask_;; j = (j + 1) & index_mask_) {
     const Cell& cell = index_[j];
     if (cell.slot == kEmpty) break;
-    const std::size_t home = node_at(cell.slot).hash & index_mask_;
+    const std::size_t home = cell.hash_tag & index_mask_;
     if (((j - home) & index_mask_) >= ((j - i) & index_mask_)) {
       index_[i] = cell;
       i = j;
@@ -126,26 +127,37 @@ void SessionTable::index_erase(const SessionKey& key, std::uint64_t h) {
 }
 
 void SessionTable::rebuild_index(std::size_t new_size) {
-  index_.assign(new_size, Cell{});
+  // A cell's home bucket is read from its 32-bit tag, which is only the
+  // full hash's home while the index has at most 2^32 cells.
+  if (new_size > (std::uint64_t{1} << 32)) {
+    throw std::length_error("SessionTable: index beyond 2^32 cells");
+  }
+  const std::vector<Cell> old =
+      std::exchange(index_, std::vector<Cell>(new_size, Cell{}));
   index_mask_ = new_size - 1;
-  for (const auto& chunk : chunks_) {
-    for (const Node& node : *chunk) {
-      if (node.live) {
-        const std::uint32_t slot = node.entry.table_slot;
-        index_insert(node.hash, slot);
-      }
-    }
+  // Re-insert from the old cells: their tags carry every placement bit
+  // the new mask needs, so the slab is not walked.
+  for (const Cell& cell : old) {
+    if (cell.slot != kEmpty) index_insert(cell.hash_tag, cell.slot);
   }
 }
 
-void SessionTable::wheel_enqueue(std::uint32_t slot, std::int64_t bucket) {
-  Node& node = node_at(slot);
+SessionTable::Ref SessionTable::wheel_stamp(std::uint32_t slot, Node& node,
+                                            std::int64_t bucket) {
   node.wheel_bucket = bucket;
   ++node.wheel_seq;
+  return Ref{slot, node.gen, node.wheel_seq};
+}
+
+void SessionTable::wheel_push(std::int64_t bucket, Ref ref) {
   // A shrink below the drain cursor (touch() after FIN/RST) re-opens that
   // bucket; lowering the floor keeps the next sweep exact.
   if (bucket < wheel_floor_) wheel_floor_ = bucket;
-  wheel_cell(bucket).push_back(Ref{slot, node.gen, node.wheel_seq});
+  wheel_cell(bucket).push_back(ref);
+}
+
+void SessionTable::wheel_enqueue(std::uint32_t slot, std::int64_t bucket) {
+  wheel_push(bucket, wheel_stamp(slot, node_at(slot), bucket));
 }
 
 void SessionTable::free_node(std::uint32_t slot) {
@@ -228,7 +240,7 @@ bool SessionTable::erase(const SessionKey& key) {
   const std::uint64_t h = hash_of(key);
   const std::uint32_t slot = find_slot(key, h);
   if (slot == kEmpty) return false;
-  index_erase(key, h);
+  index_erase(slot, h);
   free_node(slot);
   return true;
 }
@@ -277,38 +289,50 @@ void SessionTable::touch(const SessionEntry* entry) {
   if (b < node.wheel_bucket) wheel_enqueue(slot, b);
 }
 
-std::size_t SessionTable::drain_cell(
-    std::vector<Ref>& cell, common::TimePoint now, const EvictFn& on_evict,
-    std::vector<std::pair<std::int64_t, std::uint32_t>>& requeue) {
+std::size_t SessionTable::drain_cell(std::vector<Ref>& cell,
+                                     common::TimePoint now,
+                                     const EvictFn& on_evict) {
+  // Two-stage prefetch ahead of the walk: the node kPrefetchDistance refs
+  // out has landed by now, so its hash names the index cell an eviction
+  // would probe; the node twice as far out starts loading. Each ref hits a
+  // random slab node, and the visit logic hides most of both misses.
+  constexpr std::size_t kPrefetchDistance = 8;
+  const std::size_t n = cell.size();
+  const std::size_t chunks = chunks_.size();
   std::size_t removed = 0;
-  for (std::size_t i = 0; i < cell.size(); ++i) {
-    // Slide a prefetch ahead of the walk: each ref hits a random slab node,
-    // and the visit logic below is long enough to hide most of the miss.
-    if (i + 8 < cell.size() &&
-        cell[i + 8].slot / kChunkSize < chunks_.size()) {
-      __builtin_prefetch(&node_at(cell[i + 8].slot));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 2 * kPrefetchDistance < n &&
+        cell[i + 2 * kPrefetchDistance].slot / kChunkSize < chunks) {
+      __builtin_prefetch(&node_at(cell[i + 2 * kPrefetchDistance].slot));
+    }
+    if (i + kPrefetchDistance < n &&
+        cell[i + kPrefetchDistance].slot / kChunkSize < chunks) {
+      __builtin_prefetch(
+          &index_[node_at(cell[i + kPrefetchDistance].slot).hash &
+                  index_mask_]);
     }
     const Ref& ref = cell[i];
-    if (ref.slot / kChunkSize >= chunks_.size()) continue;
+    if (ref.slot / kChunkSize >= chunks) continue;
     Node& node = node_at(ref.slot);
     if (!node.live || node.gen != ref.gen || node.wheel_seq != ref.seq) {
       continue;  // erased, recycled, or superseded by a later enqueue
     }
     const common::TimePoint deadline = deadline_of(node);
     if (deadline <= now) {
-      const SessionKey& key = key_at(ref.slot);
-      if (on_evict) on_evict(key, node.entry);
-      index_erase(key, node.hash);
+      if (on_evict) on_evict(key_at(ref.slot), node.entry);
+      index_erase(ref.slot, node.hash);
       free_node(ref.slot);
       ++removed;
     } else {
-      // Survivor (or a ring collision from a future bucket): defer the
-      // re-queue so the drain loop never mutates the cell it iterates; a
-      // deadline still in a drained bucket is revisited by the next sweep.
-      requeue.emplace_back(bucket_of(deadline), ref.slot);
+      // Survivor (or a ring collision from a future bucket): re-queue it
+      // while the node is hot, but defer the push so the drain loop never
+      // mutates the cell it iterates; a deadline still in a drained bucket
+      // is revisited by the next sweep.
+      const std::int64_t bucket = bucket_of(deadline);
+      requeue_.push_back(Requeue{bucket, wheel_stamp(ref.slot, node, bucket)});
     }
   }
-  cell.clear();  // retains capacity — steady-state sweeps allocate nothing
+  cell.clear();  // retains capacity
   return removed;
 }
 
@@ -317,22 +341,22 @@ std::size_t SessionTable::age_out(common::TimePoint now,
   const std::int64_t now_bucket = bucket_of(now);
   if (now_bucket < wheel_floor_) return 0;  // nothing can be due yet
   std::size_t removed = 0;
-  std::vector<std::pair<std::int64_t, std::uint32_t>> requeue;
   const std::size_t span =
       static_cast<std::size_t>(now_bucket - wheel_floor_) + 1;
   if (span >= wheel_ring_.size()) {
     // Sweep gap exceeded the ring: every cell is potentially due. A single
     // full pass visits each ref once (future ones just re-queue).
-    for (auto& cell : wheel_ring_) {
-      removed += drain_cell(cell, now, on_evict, requeue);
-    }
+    for (auto& cell : wheel_ring_) removed += drain_cell(cell, now, on_evict);
   } else {
     for (std::int64_t b = wheel_floor_; b <= now_bucket; ++b) {
-      removed += drain_cell(wheel_cell(b), now, on_evict, requeue);
+      removed += drain_cell(wheel_cell(b), now, on_evict);
     }
   }
   wheel_floor_ = now_bucket + 1;
-  for (const auto& [bucket, slot] : requeue) wheel_enqueue(slot, bucket);
+  // The survivors are already stamped; only their refs move. Every buffer
+  // here keeps its capacity, so steady-state sweeps allocate nothing.
+  for (const Requeue& r : requeue_) wheel_push(r.bucket, r.ref);
+  requeue_.clear();
   return removed;
 }
 

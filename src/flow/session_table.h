@@ -13,7 +13,10 @@
 // Storage: entries live in fixed-size slab chunks (pointers returned by
 // find/find_or_create stay valid until the entry is erased), indexed by an
 // open-addressing probe table over a precomputed 64-bit flow hash — no
-// per-node allocation or pointer chasing on the lookup hot path.
+// per-node allocation or pointer chasing on the lookup hot path. Index
+// maintenance never reads the slab: each cell's 32-bit hash tag gives its
+// home bucket (the index is capped at 2^32 cells), erase finds its cell by
+// slot, and a rebuild re-inserts from the old cells.
 //
 // Aging: a lazy TTL wheel. Every entry is queued in the bucket of its
 // earliest *possible* deadline (TTLs are FSM-dependent, so that is
@@ -21,6 +24,9 @@
 // before `now`, recomputes each visited entry's exact deadline, and
 // re-queues survivors at that deadline's bucket. Evictions are therefore
 // exact while a sweep touches only expired candidates, not the whole table.
+// A sweep touches each visited node once — a survivor is re-stamped while
+// its line is hot and only its ref is pushed after the drain — and reuses
+// its buffers, so steady-state sweeps allocate nothing.
 // External code that mutates an entry's state directly should call touch()
 // afterwards so a TTL that *shrank* (e.g. FIN/RST → closed) re-queues the
 // entry earlier; refreshes that extend the deadline need no notification.
@@ -165,11 +171,15 @@ class SessionTable {
   using KeyChunk = std::vector<SessionKey>;
 
   /// Probe cell: cached hash tag for cheap rejection + slab slot (or
-  /// sentinel). The tag is the low 32 bits of the flow hash — placement
-  /// still uses the full hash; a tag collision merely falls through to the
-  /// key compare. 8 bytes/cell keeps the index cache-resident. Erases use
-  /// backward-shift deletion (no tombstones), so session churn never forces
-  /// an index rebuild and probe chains stay as short as the live load.
+  /// sentinel). The tag is the low 32 bits of the flow hash; a tag
+  /// collision merely falls through to the key compare. The tag doubles as
+  /// the cell's home-bucket source (`hash_tag & index_mask_` equals the
+  /// full hash's home while the index has at most 2^32 cells, a bound
+  /// rebuild_index enforces), so erase and rebuild maintain the index
+  /// without reading the slab. 8 bytes/cell keeps the index cache-resident.
+  /// Erases use backward-shift deletion (no tombstones), so session churn
+  /// never forces an index rebuild and probe chains stay as short as the
+  /// live load.
   struct Cell {
     std::uint32_t hash_tag = 0;
     std::uint32_t slot = kEmpty;
@@ -180,6 +190,12 @@ class SessionTable {
     std::uint32_t slot;
     std::uint32_t gen;
     std::uint32_t seq;
+  };
+  /// A survivor's ref, already stamped on its node, waiting for the sweep
+  /// to finish draining before it is pushed into its bucket's cell.
+  struct Requeue {
+    std::int64_t bucket;
+    Ref ref;
   };
 
   static std::uint64_t hash_of(const SessionKey& key);
@@ -198,7 +214,7 @@ class SessionTable {
 
   std::uint32_t find_slot(const SessionKey& key, std::uint64_t h) const;
   void index_insert(std::uint64_t h, std::uint32_t slot);
-  void index_erase(const SessionKey& key, std::uint64_t h);
+  void index_erase(std::uint32_t slot, std::uint64_t h);
   void rebuild_index(std::size_t new_size);
 
   std::int64_t bucket_of(common::TimePoint deadline) const {
@@ -208,12 +224,13 @@ class SessionTable {
     return wheel_ring_[static_cast<std::size_t>(bucket) & wheel_mask_];
   }
   std::size_t drain_cell(std::vector<Ref>& cell, common::TimePoint now,
-                         const EvictFn& on_evict,
-                         std::vector<std::pair<std::int64_t, std::uint32_t>>&
-                             requeue);
+                         const EvictFn& on_evict);
   common::TimePoint deadline_of(const Node& node) const {
     return node.entry.state.last_active + ttl_of(node.entry);
   }
+  /// Points the node's only live wheel ref at `bucket` and returns it.
+  Ref wheel_stamp(std::uint32_t slot, Node& node, std::int64_t bucket);
+  void wheel_push(std::int64_t bucket, Ref ref);
   void wheel_enqueue(std::uint32_t slot, std::int64_t bucket);
   void free_node(std::uint32_t slot);
 
@@ -238,6 +255,9 @@ class SessionTable {
   std::vector<std::vector<Ref>> wheel_ring_;
   std::size_t wheel_mask_ = 0;
   std::int64_t wheel_floor_ = 0;
+  /// Survivors re-queued by the sweep in progress; empty between sweeps and
+  /// reused so its capacity carries over.
+  std::vector<Requeue> requeue_;
   std::uint64_t insert_failures_ = 0;
 };
 

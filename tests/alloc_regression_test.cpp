@@ -11,12 +11,15 @@
 // workload with burst windows, DESIGN.md §11) and pins its allocation rate:
 // once slabs are warm, opening a connection must be allocation-free apart
 // from the session-table slab growing toward its TTL equilibrium.
+// A fourth test pins the session table's aging sweep itself: once warm, a
+// sweep that re-queues survivors must not touch the heap.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "src/core/testbed.h"
+#include "src/flow/session_table.h"
 #include "src/vswitch/vswitch.h"
 #include "src/workload/cps_workload.h"
 #include "support/alloc_hook.h"
@@ -143,6 +146,49 @@ TEST_F(AllocRegressionTest, ConnectionSetupAllocationsArePinned) {
   EXPECT_LE(per_conn, 12.0)
       << "connection setup now allocates " << per_conn
       << " times per connection (" << setup_allocs << " total)";
+}
+
+// A table refreshed every tick like a datapath refreshes live flows: each
+// sweep visits the entries whose conservative bucket came due, finds them
+// alive, and re-queues them a TTL ahead. Creation is spread over ten ticks
+// so every sweep has survivors to move. After a warm-up in which every
+// wheel cell and the sweep's re-queue buffer reach their peak load, a
+// sweep must allocate nothing.
+TEST_F(AllocRegressionTest, SteadyStateAgingSweepAllocatesNothing) {
+  flow::SessionTable table{flow::SessionTableConfig{
+      .established_ttl = seconds(1),
+      .embryonic_ttl = milliseconds(500),
+      .closed_ttl = milliseconds(100)}};
+  std::vector<flow::SessionKey> keys;
+  common::TimePoint now = 0;
+  std::size_t evicted = 0;
+  std::uint64_t sweep_allocs = 0;
+  auto tick = [&](bool measure) {
+    now += milliseconds(100);
+    for (const flow::SessionKey& key : keys) {
+      table.find(key)->state.observe(flow::Direction::kTx,
+                                     net::TcpFlags{.ack = true}, true, 64,
+                                     now);
+    }
+    const std::uint64_t before = support::alloc_counts().news;
+    evicted += table.age_out(now);
+    if (measure) sweep_allocs += support::alloc_counts().news - before;
+  };
+  for (int t = 0; t < 10; ++t) {
+    for (int i = 0; i < 64; ++i) {
+      keys.push_back(flow::SessionKey::from_packet(
+          kVpc, flow(static_cast<std::uint16_t>(1000 + keys.size()))));
+      ASSERT_NE(table.find_or_create(keys.back(), now), nullptr);
+    }
+    tick(/*measure=*/false);
+  }
+  for (int t = 0; t < 200; ++t) tick(/*measure=*/false);  // warm-up
+
+  for (int t = 0; t < 100; ++t) tick(/*measure=*/true);
+  EXPECT_EQ(evicted, 0u);
+  EXPECT_EQ(table.size(), keys.size());
+  EXPECT_EQ(sweep_allocs, 0u)
+      << "100 warm aging sweeps allocated " << sweep_allocs << " times";
 }
 
 // The hand-crafted-SYN budget above measures table costs per brand-new

@@ -9,6 +9,8 @@
 #include <memory>
 #include <set>
 #include <type_traits>
+#include <unordered_map>
+#include <utility>
 
 #include "src/common/rng.h"
 #include "src/core/testbed.h"
@@ -621,6 +623,181 @@ TEST(SessionTableProperty, IncrementalAgingMatchesFullScanAcrossSweeps) {
     }
     EXPECT_EQ(table.size(), live.size());
   }
+}
+
+// Differential check of the session table's index and aging wheel against
+// a std::map reference under randomized create / erase / touch / age_out /
+// clear. Half the keys are drawn so their home buckets collide at every
+// index size, which builds the long probe clusters backward-shift erase and
+// index rebuilds must keep intact, and growth phases rebuild the index
+// several times. After every op, every key's presence, the size and byte
+// accounting, and the slab iteration order must match the reference.
+TEST(SessionTableProperty, IndexMatchesReferenceAcrossChurnAndGrowth) {
+  common::Rng rng = make_rng(23);
+  flow::SessionTable table{flow::SessionTableConfig{
+      .established_ttl = common::seconds(8),
+      .embryonic_ttl = common::seconds(1),
+      .closed_ttl = common::milliseconds(100)}};
+
+  // The table places a key by net::flow_hash(ft, 0x9e3779b97f4a7c15 ^ vpc);
+  // every odd key has that hash's low six bits below 4, so at any index
+  // size those keys share a few home buckets per 64 cells.
+  std::vector<flow::SessionKey> keys;
+  std::unordered_map<flow::SessionKey, std::size_t, flow::SessionKeyHash>
+      index_of;
+  while (keys.size() < 700) {
+    net::FiveTuple ft = random_tuple(rng);
+    ft.proto = net::IpProto::kTcp;
+    const auto key = flow::SessionKey::from_packet(
+        static_cast<std::uint32_t>(rng.uniform_u64(1, 3)), ft);
+    const std::uint64_t h =
+        net::flow_hash(key.canonical_ft, 0x9e3779b97f4a7c15ull ^ key.vpc_id);
+    if (index_of.count(key) != 0) continue;
+    if (keys.size() % 2 == 1 && (h & 0x3f) >= 4) continue;
+    index_of.emplace(key, keys.size());
+    keys.push_back(key);
+  }
+
+  struct Model {
+    std::uint32_t slot = 0;
+    flow::SessionEntry entry;  // mirrors the state the test drove
+  };
+  std::map<std::size_t, Model> live;  // key index → reference entry
+  std::vector<std::ptrdiff_t> slab;   // slot → key index, -1 when free
+  std::vector<std::uint32_t> free_slots;
+  std::size_t index_cells = 64;  // the table's initial index size
+  int rebuilds = 0;
+  std::size_t evictions = 0;
+  std::size_t erases = 0;
+  common::TimePoint now = 0;
+
+  auto remove = [&](std::size_t k) {
+    const std::uint32_t slot = live.at(k).slot;
+    slab[slot] = -1;
+    free_slots.push_back(slot);
+    live.erase(k);
+  };
+  auto check = [&](int op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    ASSERT_EQ(table.size(), live.size());
+    ASSERT_EQ(table.memory_bytes(), live.size() * table.entry_bytes());
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      const flow::SessionEntry* e = std::as_const(table).find(keys[k]);
+      const auto it = live.find(k);
+      if (it == live.end()) {
+        ASSERT_EQ(e, nullptr) << "removed key " << k << " still found";
+      } else {
+        ASSERT_NE(e, nullptr) << "live key " << k << " lost";
+        ASSERT_EQ(e->table_slot, it->second.slot);
+        ASSERT_EQ(e->state.last_active, it->second.entry.state.last_active);
+      }
+    }
+    std::vector<std::size_t> order;
+    table.for_each([&](const flow::SessionKey& key, const flow::SessionEntry&) {
+      order.push_back(index_of.at(key));
+    });
+    std::vector<std::size_t> expected;
+    for (const std::ptrdiff_t k : slab) {
+      if (k >= 0) expected.push_back(static_cast<std::size_t>(k));
+    }
+    ASSERT_EQ(order, expected);
+  };
+
+  constexpr int kOps = 6000;
+  for (int op = 0; op < kOps; ++op) {
+    now += static_cast<common::Duration>(
+        rng.uniform_u64(0, common::milliseconds(3)));
+    if (op == kOps / 2) {
+      // Start over: the next growth phase rebuilds from the initial size.
+      table.clear();
+      live.clear();
+      slab.clear();
+      free_slots.clear();
+      index_cells = 64;
+      check(op);
+      if (HasFatalFailure()) return;
+      continue;
+    }
+    const bool growth = (op / 500) % 2 == 0;
+    const double r = rng.uniform();
+    const double p_create = growth ? 0.6 : 0.3;
+    if (r < p_create) {
+      const std::size_t k = rng.uniform_u64(0, keys.size() - 1);
+      flow::SessionEntry* e = table.find_or_create(keys[k], now);
+      ASSERT_NE(e, nullptr);
+      if (const auto it = live.find(k); it != live.end()) {
+        EXPECT_EQ(e->table_slot, it->second.slot);
+      } else {
+        if ((live.size() + 1) * 4 > index_cells * 3) {
+          index_cells *= 2;
+          ++rebuilds;
+        }
+        std::uint32_t slot;
+        if (!free_slots.empty()) {
+          slot = free_slots.back();
+          free_slots.pop_back();
+        } else {
+          slot = static_cast<std::uint32_t>(slab.size());
+          slab.push_back(-1);
+        }
+        EXPECT_EQ(e->table_slot, slot) << "slot allocation order changed";
+        slab[slot] = static_cast<std::ptrdiff_t>(k);
+        Model m;
+        m.slot = slot;
+        m.entry.state.last_active = now;
+        live.emplace(k, m);
+      }
+    } else if (r < p_create + 0.15) {
+      const std::size_t k = rng.uniform_u64(0, keys.size() - 1);
+      const bool present = live.count(k) != 0;
+      EXPECT_EQ(table.erase(keys[k]), present);
+      if (present) {
+        remove(k);
+        ++erases;
+      }
+    } else if (r < p_create + 0.35) {
+      if (live.empty()) continue;
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.uniform_u64(0, live.size() - 1)));
+      net::TcpFlags flags;
+      switch (rng.uniform_u64(0, 9)) {
+        case 0: flags.syn = true; break;        // embryonic TTL
+        case 1: flags.rst = true; break;        // TTL shrinks to closed_ttl
+        case 2: flags.fin = true; flags.ack = true; break;
+        default: flags.ack = true; break;
+      }
+      const auto dir =
+          rng.chance(0.5) ? flow::Direction::kTx : flow::Direction::kRx;
+      flow::SessionEntry* e = table.find(keys[it->first]);
+      ASSERT_NE(e, nullptr);
+      e->state.observe(dir, flags, true, 64, now);
+      it->second.entry.state.observe(dir, flags, true, 64, now);
+      table.touch(e);
+    } else {
+      std::set<std::size_t> due;
+      for (const auto& [k, m] : live) {
+        if (m.entry.state.last_active + table.ttl_of(m.entry) <= now) {
+          due.insert(k);
+        }
+      }
+      std::vector<std::size_t> evicted;  // in the table's eviction order
+      const std::size_t removed = table.age_out(
+          now, [&](const flow::SessionKey& key, const flow::SessionEntry& e) {
+            const std::size_t k = index_of.at(key);
+            EXPECT_EQ(e.table_slot, live.at(k).slot);
+            evicted.push_back(k);
+          });
+      EXPECT_EQ(removed, evicted.size());
+      EXPECT_EQ(std::set<std::size_t>(evicted.begin(), evicted.end()), due);
+      for (const std::size_t k : evicted) remove(k);
+      evictions += evicted.size();
+    }
+    check(op);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(rebuilds, 3);
+  EXPECT_GT(evictions, 100u);
+  EXPECT_GT(erases, 100u);
 }
 
 // ----------------------------------------------------------- determinism

@@ -18,6 +18,7 @@
 //    worker's barrier wait is counted once, not once per owned shard.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -336,7 +337,10 @@ TEST(ShardDeterminism, FencesExecuteInDueThenSeqOrderAndStuckOnesKeep) {
 
 // A worker parks at the epoch barrier once per epoch however many shards
 // it drives, so its wait (and the wait observer) belongs to its first
-// shard only; the barrier-crossing count stays per shard.
+// shard only; the barrier-crossing count stays per shard. A worker's
+// recorded phases (snapshot, advance, fast-forward, barrier wait) are
+// disjoint stretches of its own thread's time, so together they never
+// exceed the run_until window's wall-clock.
 TEST(ShardDeterminism, BarrierWaitIsCountedOncePerWorker) {
   for (const int threads : {1, 2}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -355,7 +359,12 @@ TEST(ShardDeterminism, BarrierWaitIsCountedOncePerWorker) {
           s, [&observed, s](double) { ++observed[s]; });
     }
 
+    const auto t0 = std::chrono::steady_clock::now();
     bed.run_for(common::milliseconds(2));
+    const auto window_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
     const std::uint64_t epochs = bed.engine()->epochs_run();
     ASSERT_GT(epochs, 0u);
     for (std::uint32_t s = 0; s < 8; ++s) {
@@ -372,6 +381,18 @@ TEST(ShardDeterminism, BarrierWaitIsCountedOncePerWorker) {
         EXPECT_EQ(bed.engine()->phase_profile(s).barrier_wait_ns, 0u);
         EXPECT_EQ(observed[s], 0u);
       }
+    }
+    const auto workers = static_cast<std::uint32_t>(threads);
+    for (std::uint32_t w = 0; w < workers; ++w) {
+      SCOPED_TRACE("worker=" + std::to_string(w));
+      const std::uint64_t waited = bed.engine()->barrier_wait_stats(w).total_ns;
+      std::uint64_t phases_ns = waited;
+      for (std::uint32_t s = w; s < 8; s += workers) {
+        const auto p = bed.engine()->phase_profile(s);
+        phases_ns += p.snapshot_ns + p.advance_ns + p.fast_forward_ns;
+      }
+      EXPECT_LE(waited, window_ns);
+      EXPECT_LE(phases_ns, window_ns);
     }
   }
 }
