@@ -291,6 +291,36 @@ void Network::record_drop(const net::Packet& pkt, NodeId node,
   telemetry_->record(e);
 }
 
+bool Network::enqueue(Port& port, common::TimePoint at, std::size_t bytes,
+                      double bps, std::size_t capacity) {
+  if (port.busy_until < at) {
+    port.busy_until = at;
+    port.queued_bytes = 0;
+  }
+  if (port.queued_bytes + bytes > capacity) return false;
+  port.busy_until += static_cast<common::Duration>(
+      static_cast<double>(bytes) * 8.0 / bps *
+      static_cast<double>(common::kSecond));
+  port.queued_bytes += bytes;
+  return true;
+}
+
+std::uint32_t Network::new_record(NodeId from, NodeId to, std::size_t bytes,
+                                  net::Packet&& pkt, bool imported) {
+  ++in_flight_;
+  const std::uint32_t slot = alloc_slot();
+  InFlight& rec = slab_[slot];
+  rec.pkt = std::move(pkt);
+  rec.from = from;
+  rec.to = to;
+  rec.bytes = static_cast<std::uint32_t>(bytes);
+  rec.up_link = -1;
+  rec.down_link = -1;
+  rec.kind = HopKind::kDeliver;
+  rec.imported = imported ? 1 : 0;
+  return slot;
+}
+
 void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
   ++sent_;
   if (telemetry_ != nullptr) telemetry_->stamp(pkt);
@@ -301,24 +331,25 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
                 static_cast<std::uint32_t>(pkt.wire_size()));
     return;
   }
-  Node* dst = find_by_ip(to_ip);
-  if (dst == nullptr) {
-    if (router_ != nullptr) {
-      const ShardRouter::Remote* rem = router_->lookup_remote(to_ip);
-      if (rem != nullptr && rem->shard != shard_id_) {
-        send_remote(from, *rem, std::move(pkt));
-        return;
-      }
-    }
+  // Resolve the destination: a node attached here, or (sharded engine) a
+  // node another shard owns. Either way the hop below is the same path.
+  const Node* dst = find_by_ip(to_ip);
+  const ShardRouter::Remote* rem = nullptr;
+  if (dst == nullptr && router_ != nullptr) {
+    rem = router_->lookup_remote(to_ip);
+    if (rem != nullptr && rem->shard == shard_id_) rem = nullptr;
+  }
+  if (dst == nullptr && rem == nullptr) {
     ++dropped_no_route_;
     record_drop(pkt, from, to_ip.value(),
                 static_cast<std::uint8_t>(telemetry::DropReason::kNoRoute),
                 static_cast<std::uint32_t>(pkt.wire_size()));
     return;
   }
-  if (partitioned(from, dst->id())) {
+  const NodeId to = dst != nullptr ? dst->id() : rem->node;
+  if (partitioned(from, to)) {
     ++dropped_partitioned_;
-    record_drop(pkt, from, dst->id(),
+    record_drop(pkt, from, to,
                 static_cast<std::uint8_t>(telemetry::DropReason::kPartitioned),
                 static_cast<std::uint32_t>(pkt.wire_size()));
     return;
@@ -331,25 +362,16 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
   // beyond the locally attached range; grow the port table for them.
   if (from >= ports_.size()) ports_.resize(from + 1);
   Port& port = ports_[from];
-  const common::TimePoint now = loop_.now();
-  if (port.busy_until < now) {
-    port.busy_until = now;
-    port.queued_bytes = 0;
-  }
-  if (port.queued_bytes + bytes > config_.egress_queue_bytes) {
+  if (!enqueue(port, loop_.now(), bytes, config_.link_bps,
+               config_.egress_queue_bytes)) {
     ++dropped_queue_full_;
-    record_drop(pkt, from, dst->id(),
+    record_drop(pkt, from, to,
                 static_cast<std::uint8_t>(telemetry::DropReason::kQueueFull),
                 static_cast<std::uint32_t>(bytes));
     return;
   }
-  const auto serialization = static_cast<common::Duration>(
-      static_cast<double>(bytes) * 8.0 / config_.link_bps *
-      static_cast<double>(common::kSecond));
-  port.busy_until += serialization;
-  port.queued_bytes += bytes;
   const common::TimePoint tx_done = port.busy_until;
-  const NodeId to = dst->id();
+  total_bytes_ += bytes;
 
   if (telemetry_ != nullptr) {
     telemetry::TraceEvent e;
@@ -364,188 +386,22 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
   }
 
   if (topology_.is_clos() && !topology_.same_leaf(from, to)) {
-    total_bytes_ += bytes;
-    send_clos(from, to, bytes, tx_done, std::move(pkt));
+    cross_leaf(from, to, bytes, tx_done, rem, std::move(pkt));
     return;
   }
-
+  // Tiered or same-leaf: the topology latency is the whole fabric path.
   const common::TimePoint arrival = tx_done + topology_.latency(from, to);
-  total_bytes_ += bytes;
-
-  ++in_flight_;
-  const std::uint32_t slot = alloc_slot();
-  InFlight& rec = slab_[slot];
-  rec.pkt = std::move(pkt);
-  rec.from = from;
-  rec.to = to;
-  rec.bytes = static_cast<std::uint32_t>(bytes);
-  rec.up_link = -1;
-  rec.down_link = -1;
-  rec.kind = HopKind::kDeliver;
-  rec.imported = 0;
-  schedule_delivery(arrival, slot);
+  if (rem != nullptr) {
+    hand_off(*rem, from, bytes, arrival, 0, -1, std::move(pkt));
+    return;
+  }
+  schedule_delivery(arrival, new_record(from, to, bytes, std::move(pkt),
+                                        /*imported=*/false));
 }
 
-void Network::send_remote(NodeId from, const ShardRouter::Remote& rem,
-                          net::Packet pkt) {
-  const NodeId to = rem.node;
-  if (partitioned(from, to)) {
-    ++dropped_partitioned_;
-    record_drop(pkt, from, to,
-                static_cast<std::uint8_t>(telemetry::DropReason::kPartitioned),
-                static_cast<std::uint32_t>(pkt.wire_size()));
-    return;
-  }
-  const std::size_t bytes = pkt.wire_size();
-  if (from >= ports_.size()) ports_.resize(from + 1);
-  Port& port = ports_[from];
-  const common::TimePoint now = loop_.now();
-  if (port.busy_until < now) {
-    port.busy_until = now;
-    port.queued_bytes = 0;
-  }
-  if (port.queued_bytes + bytes > config_.egress_queue_bytes) {
-    ++dropped_queue_full_;
-    record_drop(pkt, from, to,
-                static_cast<std::uint8_t>(telemetry::DropReason::kQueueFull),
-                static_cast<std::uint32_t>(bytes));
-    return;
-  }
-  const auto serialization = static_cast<common::Duration>(
-      static_cast<double>(bytes) * 8.0 / config_.link_bps *
-      static_cast<double>(common::kSecond));
-  port.busy_until += serialization;
-  port.queued_bytes += bytes;
-  const common::TimePoint tx_done = port.busy_until;
-  total_bytes_ += bytes;
-
-  if (telemetry_ != nullptr) {
-    telemetry::TraceEvent e;
-    e.at = loop_.now();
-    e.packet_id = pkt.id;
-    e.flow = trace_flow(pkt);
-    e.a = to;
-    e.b = static_cast<std::uint32_t>(bytes);
-    e.node = from;
-    e.kind = telemetry::EventKind::kPktEnqueue;
-    telemetry_->record(e);
-  }
-
-  ShardToken tok;
-  tok.from = from;
-  tok.to = to;
-  tok.bytes = static_cast<std::uint32_t>(bytes);
-  if (topology_.is_clos() && !topology_.same_leaf(from, to)) {
-    // Cross-leaf Clos: this shard owns the source leaf's uplinks (shards
-    // are rack-aligned, so no other shard touches them). Model the uplink
-    // leg locally; hand off at the spine.
-    const ClosConfig& clos = topology_.config().clos;
-    const std::uint64_t entropy =
-        net::flow_hash(pkt.inner.ft.canonical(), config_.ecmp_seed);
-    const std::uint32_t spine = topology_.ecmp_spine(from, to, entropy);
-    const std::uint32_t up_idx =
-        fabric_index(false, topology_.leaf_of(from), spine);
-    if (up_idx >= fabric_links_.size()) fabric_links_.resize(up_idx + 1);
-    const auto fabric_ser = static_cast<common::Duration>(
-        static_cast<double>(bytes) * 8.0 / fabric_link_bps_ *
-        static_cast<double>(common::kSecond));
-    const common::TimePoint at_leaf = tx_done + clos.host_leaf_latency;
-    Port& up = fabric_links_[up_idx];
-    if (up.busy_until < at_leaf) {
-      up.busy_until = at_leaf;
-      up.queued_bytes = 0;
-    }
-    if (up.queued_bytes + bytes > config_.fabric_queue_bytes) {
-      // Tail-dropped on our own uplink: stays shard-local (mirrors
-      // send_clos — an in-flight record carried to the drop time).
-      ++in_flight_;
-      const std::uint32_t slot = alloc_slot();
-      InFlight& rec = slab_[slot];
-      rec.pkt = std::move(pkt);
-      rec.from = from;
-      rec.to = to;
-      rec.bytes = static_cast<std::uint32_t>(bytes);
-      rec.up_link = -1;
-      rec.down_link = -1;
-      rec.kind = HopKind::kFabricDrop;
-      rec.imported = 0;
-      schedule_delivery(at_leaf, slot);
-      return;
-    }
-    up.busy_until += fabric_ser;
-    up.queued_bytes += bytes;
-    const common::TimePoint at_spine = up.busy_until + clos.leaf_spine_latency;
-    // The bytes leave this shard's domain at the spine; the destination
-    // shard cannot reach back to drain our queues, so drain the sender
-    // port and uplink accounting here.
-    loop_.schedule_raw_at(at_spine, &Network::drain_port_thunk, this,
-                          pack_drain(bytes, from));
-    loop_.schedule_raw_at(at_spine, &Network::drain_fabric_thunk, this,
-                          pack_drain(bytes, up_idx));
-    tok.pkt = std::move(pkt);
-    tok.at = at_spine;
-    tok.spine = spine;
-    tok.kind = TokenKind::kAtSpine;
-  } else {
-    const common::TimePoint arrival = tx_done + topology_.latency(from, to);
-    loop_.schedule_raw_at(arrival, &Network::drain_port_thunk, this,
-                          pack_drain(bytes, from));
-    tok.pkt = std::move(pkt);
-    tok.at = arrival;
-    tok.kind = TokenKind::kArrival;
-  }
-  ++exported_;
-  router_->export_token(shard_id_, rem.shard, std::move(tok));
-}
-
-void Network::inject_token(ShardToken tok) {
-  ++imported_;
-  ++in_flight_;
-  const std::uint32_t slot = alloc_slot();
-  InFlight& rec = slab_[slot];
-  rec.pkt = std::move(tok.pkt);
-  rec.from = tok.from;
-  rec.to = tok.to;
-  rec.bytes = tok.bytes;
-  rec.up_link = -1;
-  rec.down_link = -1;
-  rec.imported = 1;
-  if (tok.kind == TokenKind::kArrival) {
-    rec.kind = HopKind::kDeliver;
-    schedule_delivery(tok.at, slot);
-    return;
-  }
-  // kAtSpine: finish the Clos path on the spine→leaf downlink, which this
-  // shard owns (the destination leaf is one of its racks).
-  const ClosConfig& clos = topology_.config().clos;
-  const std::uint32_t down_idx =
-      fabric_index(true, topology_.leaf_of(tok.to), tok.spine);
-  if (down_idx >= fabric_links_.size()) fabric_links_.resize(down_idx + 1);
-  const auto fabric_ser = static_cast<common::Duration>(
-      static_cast<double>(tok.bytes) * 8.0 / fabric_link_bps_ *
-      static_cast<double>(common::kSecond));
-  Port& down = fabric_links_[down_idx];
-  if (down.busy_until < tok.at) {
-    down.busy_until = tok.at;
-    down.queued_bytes = 0;
-  }
-  if (down.queued_bytes + tok.bytes > config_.fabric_queue_bytes) {
-    rec.kind = HopKind::kFabricDrop;
-    schedule_delivery(tok.at, slot);
-    return;
-  }
-  down.busy_until += fabric_ser;
-  down.queued_bytes += tok.bytes;
-  rec.down_link = static_cast<std::int32_t>(down_idx);
-  spine_bytes_[tok.spine] += tok.bytes;
-  rec.kind = HopKind::kDeliver;
-  const common::TimePoint arrival =
-      down.busy_until + clos.leaf_spine_latency + clos.host_leaf_latency;
-  schedule_delivery(arrival, slot);
-}
-
-void Network::send_clos(NodeId from, NodeId to, std::size_t bytes,
-                        common::TimePoint tx_done, net::Packet pkt) {
+void Network::cross_leaf(NodeId from, NodeId to, std::size_t bytes,
+                         common::TimePoint tx_done,
+                         const ShardRouter::Remote* rem, net::Packet&& pkt) {
   const ClosConfig& clos = topology_.config().clos;
   // ECMP on the canonical inner 5-tuple: both directions of a flow, and both
   // runs of a seeded experiment, ride the same spine.
@@ -554,67 +410,90 @@ void Network::send_clos(NodeId from, NodeId to, std::size_t bytes,
   const std::uint32_t spine = topology_.ecmp_spine(from, to, entropy);
   const std::uint32_t up_idx =
       fabric_index(false, topology_.leaf_of(from), spine);
-  const std::uint32_t down_idx =
-      fabric_index(true, topology_.leaf_of(to), spine);
-  const std::uint32_t max_idx = std::max(up_idx, down_idx);
-  if (max_idx >= fabric_links_.size()) {
-    // Off-grid senders (gateway/monitor nodes beyond the host grid) extend
-    // the link table; fabric_index() never renumbers existing links.
-    fabric_links_.resize(max_idx + 1);
-  }
-  const auto fabric_ser = static_cast<common::Duration>(
-      static_cast<double>(bytes) * 8.0 / fabric_link_bps_ *
-      static_cast<double>(common::kSecond));
-
-  ++in_flight_;
-  const std::uint32_t slot = alloc_slot();
-  InFlight& rec = slab_[slot];
-  rec.pkt = std::move(pkt);
-  rec.from = from;
-  rec.to = to;
-  rec.bytes = static_cast<std::uint32_t>(bytes);
-  rec.up_link = -1;
-  rec.down_link = -1;
-  rec.imported = 0;
 
   // Leaf→spine uplink: queue + serialize at the contended fabric rate.
+  // Shards are rack-aligned, so the source shard always owns this link.
   const common::TimePoint at_leaf = tx_done + clos.host_leaf_latency;
-  Port& up = fabric_links_[up_idx];
-  if (up.busy_until < at_leaf) {
-    up.busy_until = at_leaf;
-    up.queued_bytes = 0;
-  }
-  if (up.queued_bytes + bytes > config_.fabric_queue_bytes) {
-    rec.kind = HopKind::kFabricDrop;
+  Port& up = fabric_link(up_idx);
+  if (!enqueue(up, at_leaf, bytes, fabric_link_bps_,
+               config_.fabric_queue_bytes)) {
+    // Tail-dropped on the uplink: shard-local either way, carried to the
+    // drop time by an in-flight record.
+    const std::uint32_t slot =
+        new_record(from, to, bytes, std::move(pkt), /*imported=*/false);
+    slab_[slot].kind = HopKind::kFabricDrop;
     schedule_delivery(at_leaf, slot);
     return;
   }
-  up.busy_until += fabric_ser;
-  up.queued_bytes += bytes;
-  rec.up_link = static_cast<std::int32_t>(up_idx);
   const common::TimePoint at_spine = up.busy_until + clos.leaf_spine_latency;
-
-  // Spine→leaf downlink.
-  Port& down = fabric_links_[down_idx];
-  if (down.busy_until < at_spine) {
-    down.busy_until = at_spine;
-    down.queued_bytes = 0;
+  if (rem != nullptr) {
+    hand_off(*rem, from, bytes, at_spine, spine,
+             static_cast<std::int32_t>(up_idx), std::move(pkt));
+    return;
   }
-  if (down.queued_bytes + bytes > config_.fabric_queue_bytes) {
+  const std::uint32_t slot =
+      new_record(from, to, bytes, std::move(pkt), /*imported=*/false);
+  slab_[slot].up_link = static_cast<std::int32_t>(up_idx);
+  downlink(slot, spine, at_spine);
+}
+
+void Network::downlink(std::uint32_t slot, std::uint32_t spine,
+                       common::TimePoint at_spine) {
+  const ClosConfig& clos = topology_.config().clos;
+  InFlight& rec = slab_[slot];
+  const std::uint32_t down_idx =
+      fabric_index(true, topology_.leaf_of(rec.to), spine);
+  Port& down = fabric_link(down_idx);
+  if (!enqueue(down, at_spine, rec.bytes, fabric_link_bps_,
+               config_.fabric_queue_bytes)) {
     rec.kind = HopKind::kFabricDrop;
     schedule_delivery(at_spine, slot);
     return;
   }
-  down.busy_until += fabric_ser;
-  down.queued_bytes += bytes;
   rec.down_link = static_cast<std::int32_t>(down_idx);
-  const common::TimePoint down_done = down.busy_until;
-  spine_bytes_[spine] += bytes;
+  spine_bytes_[spine] += rec.bytes;
+  schedule_delivery(
+      down.busy_until + clos.leaf_spine_latency + clos.host_leaf_latency,
+      slot);
+}
 
-  const common::TimePoint arrival =
-      down_done + clos.leaf_spine_latency + clos.host_leaf_latency;
-  rec.kind = HopKind::kDeliver;
-  schedule_delivery(arrival, slot);
+void Network::hand_off(const ShardRouter::Remote& rem, NodeId from,
+                       std::size_t bytes, common::TimePoint at,
+                       std::uint32_t spine, std::int32_t up_link,
+                       net::Packet&& pkt) {
+  // The bytes leave this shard's domain at `at`; the destination shard
+  // cannot reach back to drain our queues, so drain the sender port (and
+  // the uplink) accounting here.
+  loop_.schedule_raw_at(at, &Network::drain_port_thunk, this,
+                        pack_drain(bytes, from));
+  if (up_link >= 0) {
+    loop_.schedule_raw_at(
+        at, &Network::drain_fabric_thunk, this,
+        pack_drain(bytes, static_cast<std::uint32_t>(up_link)));
+  }
+  ShardToken tok;
+  tok.pkt = std::move(pkt);
+  tok.at = at;
+  tok.from = from;
+  tok.to = rem.node;
+  tok.bytes = static_cast<std::uint32_t>(bytes);
+  tok.spine = spine;
+  tok.kind = up_link >= 0 ? TokenKind::kAtSpine : TokenKind::kArrival;
+  ++exported_;
+  router_->export_token(shard_id_, rem.shard, std::move(tok));
+}
+
+void Network::inject_token(ShardToken tok) {
+  ++imported_;
+  const std::uint32_t slot = new_record(tok.from, tok.to, tok.bytes,
+                                        std::move(tok.pkt), /*imported=*/true);
+  if (tok.kind == TokenKind::kArrival) {
+    schedule_delivery(tok.at, slot);
+  } else {
+    // kAtSpine: the spine→leaf downlink belongs to this shard (the
+    // destination leaf is one of its racks).
+    downlink(slot, tok.spine, tok.at);
+  }
 }
 
 void Network::crash(NodeId id) {

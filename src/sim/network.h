@@ -89,10 +89,11 @@ class Network {
   void send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt);
 
   /// Sharded-engine hookup (DESIGN.md §13). With a router set, a send()
-  /// whose destination IP is not attached locally is resolved fleet-wide:
-  /// the source shard models sender-port serialization (and, on Clos, the
-  /// leaf→spine uplink it owns), then exports a ShardToken to the owning
-  /// shard instead of scheduling a local delivery.
+  /// whose destination IP is not attached locally is resolved fleet-wide
+  /// and takes the same hop path up to the end of the legs this shard
+  /// owns — after egress (tiered, same-leaf) or after the leaf→spine uplink
+  /// (Clos cross-leaf) — where it exports a ShardToken to the owning shard
+  /// instead of scheduling a local delivery.
   void set_shard_router(ShardRouter* router, std::uint32_t shard_id) {
     router_ = router;
     shard_id_ = shard_id;
@@ -199,15 +200,41 @@ class Network {
     std::uint8_t imported = 0;
   };
 
-  /// Cross-leaf Clos path: queue through the ECMP-selected uplink/downlink
-  /// pair after sender-port serialization completes at tx_done.
-  void send_clos(NodeId from, NodeId to, std::size_t bytes,
-                 common::TimePoint tx_done, net::Packet pkt);
+  /// One link-queue step, shared by the sender port and both fabric links:
+  /// a queue idle before `at` restarts empty at `at`; a packet that would
+  /// overflow `capacity` is tail-dropped (false); otherwise it serializes
+  /// at `bps` behind the queue and port.busy_until is its transmit end.
+  static bool enqueue(Port& port, common::TimePoint at, std::size_t bytes,
+                      double bps, std::size_t capacity);
+  /// Fabric link by fabric_index(). Off-grid senders (gateway/monitor nodes
+  /// beyond the host grid) extend the table; existing links never move.
+  Port& fabric_link(std::uint32_t idx) {
+    if (idx >= fabric_links_.size()) fabric_links_.resize(idx + 1);
+    return fabric_links_[idx];
+  }
+  /// Builds the in-flight record of one hop (kDeliver, no fabric link
+  /// queued yet) and returns its slot.
+  std::uint32_t new_record(NodeId from, NodeId to, std::size_t bytes,
+                           net::Packet&& pkt, bool imported);
 
-  /// Cross-shard path: serialize on the sender port (and the local Clos
-  /// uplink), then export a token to the destination's shard.
-  void send_remote(NodeId from, const ShardRouter::Remote& rem,
-                   net::Packet pkt);
+  /// Clos cross-leaf legs after sender-port serialization ends at tx_done:
+  /// the ECMP-selected leaf→spine uplink, then the downlink (local `to`)
+  /// or the kAtSpine hand-off (rem != null). Out of line so that send()'s
+  /// common path stays small.
+  void cross_leaf(NodeId from, NodeId to, std::size_t bytes,
+                  common::TimePoint tx_done, const ShardRouter::Remote* rem,
+                  net::Packet&& pkt);
+  /// Spine→leaf downlink and delivery of the record in `slot`, whose packet
+  /// reaches `spine` at at_spine. Shared by local cross-leaf hops and
+  /// injected kAtSpine tokens.
+  void downlink(std::uint32_t slot, std::uint32_t spine,
+                common::TimePoint at_spine);
+  /// Exports the packet to rem's shard, due there at `at`: a kArrival token
+  /// (up_link < 0) or, after the uplink `up_link`, a kAtSpine token at
+  /// `spine`. Schedules the drains of this shard's queue bytes for `at`.
+  void hand_off(const ShardRouter::Remote& rem, NodeId from,
+                std::size_t bytes, common::TimePoint at, std::uint32_t spine,
+                std::int32_t up_link, net::Packet&& pkt);
 
   /// Deferred queue-byte drains for exported packets (the completion that
   /// would normally drain them runs on another shard). arg packs

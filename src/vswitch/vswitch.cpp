@@ -300,30 +300,31 @@ void VSwitch::record_mode(tables::VnicId vnic, VnicMode from, VnicMode to) {
   telemetry_->record(e);
 }
 
-bool VSwitch::consume_cpu(double cycles, telemetry::Stage stage,
-                          std::function<void()> then) {
+bool VSwitch::admit_cpu(double cycles, telemetry::Stage stage,
+                        const net::Packet* pkt, common::TimePoint* done) {
   const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
   if (!out.accepted) {
     inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, stage, nullptr, cycles, 0);
+    record_cpu(telemetry::EventKind::kCpuReject, stage, pkt, cycles, 0);
     return false;
   }
-  record_cpu(telemetry::EventKind::kCpuOpStart, stage, nullptr, cycles,
-             out.done);
-  loop_.schedule_at(out.done, std::move(then));
+  record_cpu(telemetry::EventKind::kCpuOpStart, stage, pkt, cycles, out.done);
+  *done = out.done;
+  return true;
+}
+
+bool VSwitch::consume_cpu(double cycles, telemetry::Stage stage,
+                          std::function<void()> then) {
+  common::TimePoint done = 0;
+  if (!admit_cpu(cycles, stage, nullptr, &done)) return false;
+  loop_.schedule_at(done, std::move(then));
   return true;
 }
 
 void VSwitch::consume_cpu_noop(double cycles, telemetry::Stage stage) {
-  const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
-  if (!out.accepted) {
-    inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, stage, nullptr, cycles, 0);
-    return;
-  }
-  record_cpu(telemetry::EventKind::kCpuOpStart, stage, nullptr, cycles,
-             out.done);
-  loop_.schedule_raw_at(out.done, [](void*, std::uint64_t) {}, nullptr);
+  common::TimePoint done = 0;
+  if (!admit_cpu(cycles, stage, nullptr, &done)) return;
+  loop_.schedule_raw_at(done, [](void*, std::uint64_t) {}, nullptr);
 }
 
 void VSwitch::opq_push(std::uint32_t slot) {
@@ -441,35 +442,23 @@ void VSwitch::run_op(std::uint32_t slot) {
 void VSwitch::consume_cpu_send(double cycles, net::Packet pkt,
                                const tables::Location& dst,
                                telemetry::Stage stage) {
-  const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
-  if (!out.accepted) {
-    inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, stage, &pkt, cycles, 0);
-    return;
-  }
-  record_cpu(telemetry::EventKind::kCpuOpStart, stage, &pkt, cycles,
-             out.done);
+  common::TimePoint done = 0;
+  if (!admit_cpu(cycles, stage, &pkt, &done)) return;
   const std::uint32_t slot = alloc_op_slot();
   PendingOp& rec = op_slab_[slot];
   rec.pkt = std::move(pkt);
   rec.dst = dst;
   rec.kind = OpKind::kSend;
   rec.stage = static_cast<std::uint8_t>(stage);
-  schedule_op(slot, out.done);
+  schedule_op(slot, done);
 }
 
 void VSwitch::consume_cpu_deliver(double cycles, net::Packet pkt,
                                   tables::VnicId vid,
                                   std::uint64_t* adapter_count,
                                   telemetry::Stage stage) {
-  const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
-  if (!out.accepted) {
-    inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, stage, &pkt, cycles, 0);
-    return;
-  }
-  record_cpu(telemetry::EventKind::kCpuOpStart, stage, &pkt, cycles,
-             out.done);
+  common::TimePoint done = 0;
+  if (!admit_cpu(cycles, stage, &pkt, &done)) return;
   const std::uint32_t slot = alloc_op_slot();
   PendingOp& rec = op_slab_[slot];
   rec.pkt = std::move(pkt);
@@ -477,7 +466,7 @@ void VSwitch::consume_cpu_deliver(double cycles, net::Packet pkt,
   rec.vid = vid;
   rec.kind = OpKind::kDeliver;
   rec.stage = static_cast<std::uint8_t>(stage);
-  schedule_op(slot, out.done);
+  schedule_op(slot, done);
 }
 
 flow::SessionEntry* VSwitch::get_or_create_session(

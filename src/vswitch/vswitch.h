@@ -289,6 +289,12 @@ class VSwitch : public sim::Node {
   // --- helpers ---
   void inc(Ctr c) { counters_.inc(static_cast<std::size_t>(c)); }
 
+  /// The one CPU admission step behind every consume_cpu* variant: charges
+  /// `cycles` and records kCpuOpStart, setting *done to the completion
+  /// time, or counts an overload drop and records kCpuReject (false).
+  bool admit_cpu(double cycles, telemetry::Stage stage,
+                 const net::Packet* pkt, common::TimePoint* done);
+
   /// Charges `cycles`; on acceptance schedules `then` at completion and
   /// returns true, otherwise counts an overload drop. Cold paths only —
   /// capturing a Packet in `then` heap-allocates; the datapath uses the

@@ -411,6 +411,97 @@ TEST(NetworkTest, EgressQueueOverflowTailDrops) {
   EXPECT_GT(b.received.size(), 0u);
 }
 
+TEST(NetworkTest, ClosCrossLeafTimingAndFabricTailDrop) {
+  // Two leaves of two hosts, two spines; a fabric link at a tenth of the
+  // host rate keeps every leg's serialization visible.
+  TopologyConfig tc;
+  tc.kind = FabricKind::kClos;
+  tc.clos.num_leaves = 2;
+  tc.clos.hosts_per_leaf = 2;
+  tc.clos.num_spines = 2;
+  const ClosConfig& clos = tc.clos;
+  auto ser = [](std::size_t bytes, double bps) {
+    return static_cast<common::Duration>(static_cast<double>(bytes) * 8.0 /
+                                         bps *
+                                         static_cast<double>(common::kSecond));
+  };
+  const std::size_t bytes = test_packet(1200).wire_size();
+
+  {
+    EventLoop loop;
+    Topology topo{tc};
+    Network net(loop, topo,
+                NetworkConfig{.link_bps = 100e9, .fabric_link_bps = 10e9});
+    SinkNode a{0, net::Ipv4Addr(1, 0, 0, 1)};
+    SinkNode b{1, net::Ipv4Addr(1, 0, 0, 2)};  // a's leaf
+    SinkNode c{2, net::Ipv4Addr(1, 0, 0, 3)};  // the other leaf
+    net.attach(a);
+    net.attach(b);
+    net.attach(c);
+    std::vector<TimePoint> arrivals;
+    net.set_trace([&](TimePoint t, const net::Packet&, NodeId, NodeId) {
+      arrivals.push_back(t);
+    });
+
+    // Cross-leaf: host→leaf, uplink, leaf→spine, downlink, spine→leaf,
+    // leaf→host, each fabric link serializing at its own rate.
+    net.send(a.id(), c.underlay_ip(), test_packet(1200));
+    loop.run();
+    ASSERT_EQ(arrivals.size(), 1u);
+    EXPECT_EQ(arrivals[0], ser(bytes, 100e9) + clos.host_leaf_latency +
+                               ser(bytes, 10e9) + clos.leaf_spine_latency +
+                               ser(bytes, 10e9) + clos.leaf_spine_latency +
+                               clos.host_leaf_latency);
+    std::uint64_t spine_total = 0;
+    for (const std::uint64_t s : net.spine_bytes()) spine_total += s;
+    EXPECT_EQ(spine_total, bytes);
+
+    // Same-leaf: host→leaf→host, no fabric link.
+    const TimePoint t0 = loop.now();
+    net.send(a.id(), b.underlay_ip(), test_packet(1200));
+    loop.run();
+    ASSERT_EQ(arrivals.size(), 2u);
+    EXPECT_EQ(arrivals[1] - t0,
+              ser(bytes, 100e9) + 2 * clos.host_leaf_latency);
+    spine_total = 0;
+    for (const std::uint64_t s : net.spine_bytes()) spine_total += s;
+    EXPECT_EQ(spine_total, bytes);
+    EXPECT_EQ(net.dropped_fabric(), 0u);
+  }
+
+  {
+    // Uplink overflow: one flow rides one spine; its uplink queue holds
+    // two packets, so three of five back-to-back packets are tail-dropped.
+    EventLoop loop;
+    Topology topo{tc};
+    Network net(loop, topo,
+                NetworkConfig{.link_bps = 100e9,
+                              .fabric_link_bps = 10e9,
+                              .fabric_queue_bytes = 2 * bytes});
+    SinkNode a{0, net::Ipv4Addr(1, 0, 0, 1)};
+    SinkNode c{2, net::Ipv4Addr(1, 0, 0, 3)};
+    net.attach(a);
+    net.attach(c);
+    for (int i = 0; i < 5; ++i) {
+      net.send(a.id(), c.underlay_ip(), test_packet(1200));
+    }
+    auto conserved = [&] {
+      return net.sent() == net.delivered() + net.dropped_total() +
+                               net.in_flight();
+    };
+    EXPECT_TRUE(conserved());
+    loop.run_until(ser(bytes, 100e9) + clos.host_leaf_latency +
+                   ser(bytes, 10e9));
+    EXPECT_TRUE(conserved());
+    loop.run();
+    EXPECT_TRUE(conserved());
+    EXPECT_EQ(net.dropped_fabric(), 3u);
+    EXPECT_EQ(net.dropped_total(), 3u);
+    EXPECT_EQ(c.received.size(), 2u);
+    EXPECT_EQ(net.in_flight(), 0u);
+  }
+}
+
 TEST(NetworkTest, DetachRemovesRouting) {
   NetworkFixture f;
   f.net.detach(f.b.id());
