@@ -88,6 +88,10 @@ int main(int argc, char** argv) {
   benchutil::Table t({"t (s)", "offered CPS", "BE CPU", "avg FE CPU",
                       "#FEs", "mode"});
   double be_peak = 0, be_after_offload = 1.0;
+  // Offered CPS per printed row: connection attempts the clients made since
+  // the previous row, over the time since it.
+  std::uint64_t attempted_at_last_row = 0;
+  common::TimePoint last_row_at = bed.loop().now();
   bool offloaded_seen = false;
   std::size_t max_fes = 0;
 
@@ -114,8 +118,13 @@ int main(int argc, char** argv) {
       be_after_offload = std::min(be_after_offload, be_util);
     }
     if (tick % 2 == 0) {
-      double offered = 0;
-      for (auto& c : clients) offered += 2000 + std::min(tick, 24) * 1150.0;
+      std::uint64_t attempted = 0;
+      for (const auto& c : clients) attempted += c->attempted();
+      const double offered =
+          static_cast<double>(attempted - attempted_at_last_row) /
+          common::to_seconds(now - last_row_at);
+      attempted_at_last_row = attempted;
+      last_row_at = now;
       t.add_row({benchutil::fmt(common::to_seconds(now), 1),
                  benchutil::fmt_si(offered, 0), benchutil::fmt_pct(be_util),
                  benchutil::fmt_pct(fe_util), std::to_string(fes.size()),

@@ -32,20 +32,23 @@ inline FirstDirection to_first_direction(Direction d) {
 /// Fixed per-session allocation in the production session table (§7.1).
 inline constexpr std::size_t kStateAllocBytes = 64;
 
+/// Field order is layout: everything a packet or an aging visit reads comes
+/// before the flow counters, which only an active statistics policy touches
+/// (SessionEntry puts the counters on its second cache line).
 struct SessionState {
-  FirstDirection first_dir = FirstDirection::kNone;
-  TcpFsm fsm;
+  common::TimePoint last_active = 0;
   /// Stateful decap (§5.2): overlay source IP recorded from the first RX
   /// packet so TX responses can be re-encapsulated toward the LB.
   net::Ipv4Addr decap_src_ip;
+  FirstDirection first_dir = FirstDirection::kNone;
   /// Flow-statistics policy currently applied (a rule-table-involved state;
   /// updated via notify packets under Nezha, §3.2.2).
   StatsMode stats_mode = StatsMode::kNone;
+  TcpFsm fsm;
   std::uint64_t pkts_tx = 0;
   std::uint64_t pkts_rx = 0;
   std::uint64_t bytes_tx = 0;
   std::uint64_t bytes_rx = 0;
-  common::TimePoint last_active = 0;
 
   bool initialized() const { return first_dir != FirstDirection::kNone; }
 
